@@ -16,7 +16,7 @@ from .classify import classify, machine_lines, report
 from .invariant import build_table, element_order, evaluate, load_table, save_table
 from .presentation import build_presentation, relation_counts, save_presentation
 from .smith import load_matrix_text, snf_dense_naive, snf_sparse_mod2k
-from .words import GaussWord, _iter_canonical_bytes, canonicalize, format_text
+from .words import _iter_canonical_bytes, canonicalize, format_text
 
 MAX_ENUMERATE_RANK = 12
 SNF_ORACLE_LIMIT = 200  # per-side guard for the dense integer engine
@@ -44,23 +44,6 @@ def group_structure(divisors) -> tuple[str, dict[int, int]]:
         cyclic = f"ℤ/{d}"
         parts.append(f"({cyclic})^{e}" if e > 1 else cyclic)
     return " ⊕ ".join(parts), dict(sorted(powers.items()))
-
-
-def _parse_word(text: str) -> GaussWord:
-    # Count occurrences first so errors carry the offending position.
-    if text in ("-", ""):
-        return GaussWord._wrap(b"")
-    seen: dict[str, int] = {}
-    for pos, ch in enumerate(text):
-        if not "A" <= ch <= "Z":
-            raise ValueError(f"invalid letter {ch!r} at position {pos}")
-        seen[ch] = seen.get(ch, 0) + 1
-        if seen[ch] > 2:
-            raise ValueError(f"letter {ch!r} occurs a third time at position {pos}")
-    for pos, ch in enumerate(text):
-        if seen[ch] != 2:
-            raise ValueError(f"letter {ch!r} at position {pos} occurs only once")
-    return canonicalize(text)
 
 
 def cmd_enumerate(args) -> int:
@@ -111,10 +94,7 @@ def cmd_group(args) -> int:
     if args.degree == 1 or not pres.relations:
         divisors: tuple[int, ...] = ()
     else:
-        result = snf_sparse_mod2k(
-            pres.matrix(), args.degree - 1, u_strategy=args.u_strategy,
-            progress=_progress,
-        )
+        result = snf_sparse_mod2k(pres.matrix(), args.degree - 1, progress=_progress)
         divisors = result.divisors
     structure, powers = group_structure(divisors)
     print(f"G_{args.degree} = {structure}")
@@ -123,12 +103,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = build_table(
-        args.degree,
-        workers=args.workers,
-        u_strategy=args.u_strategy,
-        progress=_progress,
-    )
+    table = build_table(args.degree, workers=args.workers, progress=_progress)
     save_table(table, args.out)
     print(
         f"degree {table.degree}: {len(table)} nonzero words, "
@@ -140,7 +115,7 @@ def cmd_table(args) -> int:
 
 def cmd_eval(args) -> int:
     table = load_table(args.table)
-    word = _parse_word(args.word)
+    word = canonicalize(args.word)
     value = evaluate(table, word)
     if not value:
         print("0")
@@ -209,14 +184,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("group", help="compute the group structure for a degree")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--u-strategy", choices=("auto", "dense", "replay"), default="auto")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("table", help="build and save an invariant table")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--u-strategy", choices=("auto", "dense", "replay"), default="auto")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("eval", help="evaluate a saved table on a word")

@@ -45,33 +45,6 @@ class MoveApplication(NamedTuple):
         return f"{self.tag} {self.direction} {','.join(map(str, self.data))}"
 
 
-def _canonical_with_map(seq) -> tuple[bytes, dict[int, int]]:
-    relabel: dict[int, int] = {}
-    out = bytearray(len(seq))
-    k = 0
-    for pos, b in enumerate(seq):
-        r = relabel.get(b)
-        if r is None:
-            relabel[b] = r = k
-            k += 1
-        out[pos] = r
-    return bytes(out), relabel
-
-
-def _match_h4(raw: bytes, first, second) -> list[tuple[int, int]]:
-    """Ordered pairs (A, B) with raw = xAByABz, both blocks contiguous."""
-    out = []
-    n = len(raw)
-    for a in range(len(first)):
-        p = first[a] + 1
-        if p >= n:
-            continue
-        b = raw[p]
-        if first[b] == p and second[b] == second[a] + 1:
-            out.append((a, b))
-    return out
-
-
 def _match_exchange(raw: bytes, first, second, orient) -> list[tuple[int, int, int]]:
     """Sites (a, b, c) of the three-block pattern with the given orientation."""
     o1, o2, o3 = orient
@@ -146,9 +119,12 @@ def _apply(w: GaussWord, move: MoveApplication) -> tuple[GaussWord, MoveApplicat
         seq = bytearray(raw)
         for p in (s1, s2, s3):
             seq[p], seq[p + 1] = seq[p + 1], seq[p]
-        out, relabel = _canonical_with_map(seq)
+        out = _canonical_bytes(seq)
+        # A letter's new label is the canonical label at its first occurrence.
         inverse = MoveApplication(
-            tag, "exchange", (1 - side, relabel[a], relabel[b], relabel[c])
+            tag,
+            "exchange",
+            (1 - side, out[seq.index(a)], out[seq.index(b)], out[seq.index(c)]),
         )
         return GaussWord._wrap(out), inverse
 
@@ -195,8 +171,9 @@ def _apply(w: GaussWord, move: MoveApplication) -> tuple[GaussWord, MoveApplicat
             if not 0 <= p <= n:
                 raise ValueError(f"insertion point {p} out of range")
             seq = raw[:p] + bytes((r, r)) + raw[p:]
-            out, relabel = _canonical_with_map(seq)
-            return GaussWord._wrap(out), MoveApplication("H1", "reduce", (relabel[r],))
+            out = _canonical_bytes(seq)
+            # The new letter first occurs at p.
+            return GaussWord._wrap(out), MoveApplication("H1", "reduce", (out[p],))
         p, q = data
         if not 0 <= p <= q <= n:
             raise ValueError(f"insertion points {data} out of range")
@@ -207,9 +184,10 @@ def _apply(w: GaussWord, move: MoveApplication) -> tuple[GaussWord, MoveApplicat
             seq = raw[:p] + bytes((x, y)) + raw[p:q] + bytes((x, y)) + raw[q:]
         else:
             raise ValueError(f"unknown expand tag {tag}")
-        out, relabel = _canonical_with_map(seq)
+        out = _canonical_bytes(seq)
+        # The new letters x, y first occur at p, p + 1.
         return GaussWord._wrap(out), MoveApplication(
-            tag, "reduce", (relabel[x], relabel[y])
+            tag, "reduce", (out[p], out[p + 1])
         )
 
     raise ValueError(f"unknown direction {direction}")

@@ -98,7 +98,6 @@ def build_table(
     n: int,
     *,
     workers: int = 1,
-    u_strategy: str = "auto",
     progress: Progress = None,
 ) -> InvariantTable:
     """Build the degree-n invariant table from scratch.
@@ -113,7 +112,7 @@ def build_table(
     if n == 1:
         return InvariantTable(n, (), {})
     A = pres.matrix()
-    result = snf_sparse_mod2k(A, n - 1, u_strategy=u_strategy, progress=progress)
+    result = snf_sparse_mod2k(A, n - 1, progress=progress)
     if not verify_cokernel_map(A, result):
         raise RuntimeError("cokernel map verification failed after elimination")
     moduli = result.moduli
@@ -234,26 +233,38 @@ def save_table(table: InvariantTable, dest) -> None:
 
 
 def load_table(src) -> InvariantTable:
-    """Read the table text format, validating every invariant."""
+    """Read the table text format, validating every invariant.
+
+    A malformed file raises ValueError naming the offending line number.
+    """
     if isinstance(src, (str, Path)):
         with open(src) as fh:
             return load_table(fh)
     fh: TextIO = src
-    lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != _HEADER:
-        raise ValueError("bad table header")
-    if not lines[1].startswith("degree "):
-        raise ValueError("missing degree line")
-    degree = int(lines[1].split()[1])
-    if not lines[2].startswith("moduli"):
-        raise ValueError("missing moduli line")
-    moduli = tuple(int(x) for x in lines[2].split()[1:])
-    entries: dict[GaussWord, Value] = {}
-    for line in lines[3:]:
-        parts = line.split()
-        w = GaussWord.from_text(parts[0])
-        vec = tuple(int(x) for x in parts[1:])
-        if w in entries:
-            raise ValueError(f"duplicate entry for {w}")
-        entries[w] = vec
-    return InvariantTable(degree, moduli, entries)
+    lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
+    end = lines[-1][0] + 1 if lines else 1
+
+    def header(idx: int, prefix: str, what: str) -> tuple[int, list[str]]:
+        no, line = lines[idx] if idx < len(lines) else (end, "")
+        if not line.startswith(prefix):
+            raise ValueError(f"line {no}: missing {what}")
+        return no, line.split()[1:]
+
+    header(0, _HEADER, "table header")
+    no, degree_fields = header(1, "degree ", "degree line")
+    moduli_no, moduli_fields = header(2, "moduli", "moduli line")
+    try:
+        degree = int(" ".join(degree_fields))
+        no = moduli_no
+        table = InvariantTable(degree, map(int, moduli_fields), {})
+        for no, line in lines[3:]:
+            parts = line.split()
+            w = GaussWord.from_text(parts[0])
+            vec = tuple(int(x) for x in parts[1:])
+            if w in table:
+                raise ValueError(f"duplicate entry for {w}")
+            table._check_entry(w, vec)
+            table._raw[w.raw] = vec
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    return table

@@ -5,9 +5,10 @@ arithmetic runs modulo 2^k: reducing mod 2^k is the same as appending the
 columns 2^k*e_i, which kills the coefficient-growth problem of integer
 elimination.  Pivots are taken unit (odd) first; once no odd entry remains
 the minimal remaining 2-adic valuation is used, which keeps every quotient
-exact.  Column operations are never tracked; row operations either update a
-dense transformation matrix or go to a replayable log, since only a few
-tail rows of the transformation are ever needed.
+exact.  Column operations are never tracked; row operations go to a
+replayable log (`RowOpLog`), and only the few tail rows of the
+transformation that the invariant needs are reconstructed from it
+(`u_rows_replay`), so the full s x s transformation is never formed.
 
 A naive dense integer engine with full U and V serves as the oracle.
 """
@@ -23,8 +24,6 @@ from typing import Callable, Iterable, Optional, TextIO
 import numpy as np
 
 Progress = Optional[Callable[[str], None]]
-
-DENSE_U_MAX_ROWS = 10000  # above this, track row ops in a log and replay
 
 
 class SparseMatrix:
@@ -139,34 +138,6 @@ class RowOpLog:
             base = 3 * t
             yield kind, args[base], args[base + 1], args[base + 2]
 
-    def apply_to_vector(self, vec: list[int], modulus: int) -> list[int]:
-        """Apply the logged operations, in order, to a column vector."""
-        v = list(vec)
-        for kind, a, b, c in self:
-            if kind == _OP_ADD:
-                v[b] = (v[b] + c * v[a]) % modulus
-            elif kind == _OP_SCALE:
-                v[a] = v[a] * b % modulus
-            else:
-                v[a], v[b] = v[b], v[a]
-        return v
-
-    def apply_inverse_to_vector(self, vec: list[int], modulus: int) -> list[int]:
-        """Undo the logged operations (inverse ops in reverse order)."""
-        v = list(vec)
-        args = self.args
-        for t in range(len(self.kinds) - 1, -1, -1):
-            kind = self.kinds[t]
-            base = 3 * t
-            a, b, c = args[base], args[base + 1], args[base + 2]
-            if kind == _OP_ADD:
-                v[b] = (v[b] - c * v[a]) % modulus
-            elif kind == _OP_SCALE:
-                v[a] = v[a] * pow(b, -1, modulus) % modulus
-            else:
-                v[a], v[b] = v[b], v[a]
-        return v
-
 
 def _mod_dtype(modulus: int):
     # Unsigned wraparound at a power of two >= modulus keeps arithmetic exact.
@@ -218,45 +189,18 @@ class SmithResult:
 
     divisors are ascending powers of 2 (a residue of 0 mod 2^k reports as
     exactly 2^k); u_rows holds the rows aligned with divisors > 1, reduced
-    mod 2^k.
+    mod 2^k, as replayed from the elimination's row-operation log.
     """
 
     modulus: int
     divisors: tuple[int, ...]
     nontrivial_start: int
     u_rows: np.ndarray
-    log: RowOpLog | None = None
+    log: RowOpLog
 
     @property
     def moduli(self) -> tuple[int, ...]:
         return self.divisors[self.nontrivial_start :]
-
-
-class _DenseU:
-    def __init__(self, s: int, modulus: int):
-        self.modulus = modulus
-        self.dtype = _mod_dtype(modulus)
-        self.U = np.eye(s, dtype=self.dtype)
-
-    def scale(self, row: int, unit: int) -> None:
-        self.U[row] *= self.dtype(unit)
-
-    def add(self, src: int, dst: int, coef: int) -> None:
-        self.U[dst] += self.U[src] * self.dtype(coef)
-
-    def add_many(self, src: int, dsts, coefs) -> None:
-        if len(dsts):
-            self.U[dsts] += np.outer(
-                np.asarray(coefs, dtype=self.dtype), self.U[src]
-            )
-
-    def swap(self, a: int, b: int) -> None:
-        self.U[[a, b]] = self.U[[b, a]]
-
-    def tail_rows(self, start: int) -> np.ndarray:
-        out = self.U[start:].copy()
-        out %= self.dtype(self.modulus)
-        return out
 
 
 class _SparseElimination:
@@ -618,26 +562,21 @@ class _SparseElimination:
 def snf_sparse_mod2k(
     A: SparseMatrix,
     k: int,
-    u_strategy: str = "auto",
     progress: Progress = None,
 ) -> SmithResult:
     """Smith normal form of A with all arithmetic in Z/2^k.
 
     Requires the integer cokernel of A to be annihilated by 2^k (reducing
     mod 2^k implicitly appends the columns 2^k*e_i, so the divisors are then
-    exact).  Returns ascending divisors and the transformation rows for the
-    nontrivial ones.
+    exact).  Returns ascending divisors, the transformation rows for the
+    nontrivial ones, and the row-operation log they were replayed from.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if u_strategy not in ("auto", "dense", "replay"):
-        raise ValueError("u_strategy must be auto, dense, or replay")
-    if u_strategy == "auto":
-        u_strategy = "dense" if A.rows <= DENSE_U_MAX_ROWS else "replay"
     m = 1 << k
     s = A.rows
-    track = _DenseU(s, m) if u_strategy == "dense" else RowOpLog()
-    elim = _SparseElimination(A, k, track, progress)
+    log = RowOpLog()
+    elim = _SparseElimination(A, k, log, progress)
     divisors = elim.run()
 
     order = sorted(range(s), key=lambda i: (divisors[i], i))
@@ -648,19 +587,14 @@ def snf_sparse_mod2k(
         p = pos_of[row]
         if p != target_pos:
             other = current[target_pos]
-            track.swap(target_pos, p)
+            log.swap(target_pos, p)
             current[target_pos], current[p] = row, other
             pos_of[row], pos_of[other] = target_pos, p
     sorted_divisors = tuple(divisors[i] for i in order)
     k0 = 0
     while k0 < s and sorted_divisors[k0] == 1:
         k0 += 1
-    if isinstance(track, _DenseU):
-        u_rows = track.tail_rows(k0)
-        log = None
-    else:
-        log = track
-        u_rows = u_rows_replay(log, range(k0, s), s, m)
+    u_rows = u_rows_replay(log, range(k0, s), s, m)
     if progress is not None:
         progress(f"snf: done, {s - k0} nontrivial divisors")
     return SmithResult(m, sorted_divisors, k0, u_rows, log)
@@ -885,19 +819,28 @@ def save_matrix_text(A: SparseMatrix, dest) -> None:
 
 
 def load_matrix_text(src) -> SparseMatrix:
+    """Read the matrix text format; errors name the offending line number."""
     if isinstance(src, (str, Path)):
         with open(src) as fh:
             return load_matrix_text(fh)
     fh: TextIO = src
-    first = fh.readline().split()
-    if len(first) != 2:
-        raise ValueError("matrix file must start with 's t'")
-    rows, cols = int(first[0]), int(first[1])
-    A = SparseMatrix(rows, cols)
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        i, j, v = line.split()
-        A.set(int(i), int(j), A.get(int(i), int(j)) + int(v))
+    no = 1
+    try:
+        first = fh.readline().split()
+        if len(first) != 2:
+            raise ValueError("matrix file must start with 's t'")
+        rows, cols = int(first[0]), int(first[1])
+        A = SparseMatrix(rows, cols)
+        for no, line in enumerate(fh, 2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise ValueError(f"expected 'i j v', got {line.strip()!r}")
+            i, j, v = map(int, fields)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside the {rows}x{cols} matrix")
+            A.set(i, j, A.get(i, j) + v)
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     return A

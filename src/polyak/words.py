@@ -129,14 +129,26 @@ def _parse_text(text: str) -> bytes:
 
 
 def _check_double_occurrence(raw: bytes) -> None:
+    """Raise ValueError unless every letter occurs exactly twice.
+
+    The message names a position: the third occurrence of a letter seen
+    more than twice, else the lone occurrence of a letter seen once.
+    """
     counts: dict[int, int] = {}
-    for b in raw:
-        counts[b] = counts.get(b, 0) + 1
-    for letter, c in counts.items():
-        if c != 2:
-            raise ValueError(
-                f"letter {letter} occurs {c} time(s); every letter must occur exactly twice"
-            )
+    for pos, b in enumerate(raw):
+        c = counts.get(b, 0) + 1
+        if c > 2:
+            raise ValueError(f"letter {_name(b)} occurs a third time at position {pos}")
+        counts[b] = c
+    if 2 * len(counts) != len(raw):
+        for pos, b in enumerate(raw):
+            if counts[b] == 1:
+                raise ValueError(f"letter {_name(b)} at position {pos} occurs only once")
+
+
+def _name(letter: int) -> str:
+    # Text-form name where one exists (the form words are typed in).
+    return chr(_A + letter) if letter <= 25 else str(letter)
 
 
 def _canonical_bytes(raw) -> bytes:

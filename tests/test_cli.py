@@ -125,6 +125,12 @@ class TestEvalCmd:
     def test_missing_table(self, capsys):
         assert main(["eval", "--table", "/nonexistent", "--word", "-"]) == 2
 
+    def test_header_only_table_names_line(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("# ftiv-table v1\n")
+        assert main(["eval", "--table", str(path), "--word", "-"]) == 2
+        assert "line 2: missing degree line" in capsys.readouterr().err
+
 
 class TestClassifyCmd:
     def test_rank4(self, table5_path, tmp_path, capsys):
@@ -158,6 +164,12 @@ class TestSnfCmd:
         path = tmp_path / "big.txt"
         path.write_text("500 500\n0 0 1\n")
         assert main(["snf", "--matrix", str(path)]) == 2
+
+    def test_out_of_range_entry_names_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n5 0 1\n")
+        assert main(["snf", "--matrix", str(path)]) == 2
+        assert "line 2:" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -61,6 +61,14 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(bad)
 
+    @pytest.mark.parametrize(
+        "bad, pos",
+        [("ABCA", 1), ("ABAAB", 3)],  # B occurs once; A's third occurrence
+    )
+    def test_wrong_multiplicity_names_position(self, bad, pos):
+        with pytest.raises(ValueError, match=f"position {pos}"):
+            canonicalize(bad)
+
     def test_idempotent_and_bijection_invariant(self):
         rng = random.Random(11)
         for w in enumerate_canonical(4):
