@@ -27,13 +27,13 @@ Progress = Optional[Callable[[str], None]]
 
 
 class SparseMatrix:
-    """Integer matrix stored as per-column maps plus a row index.
+    """Integer matrix stored as per-column maps.
 
     Rows index generators, columns index relations.  No zero entries are
     stored.
     """
 
-    __slots__ = ("rows", "cols", "col_entries", "row_cols")
+    __slots__ = ("rows", "cols", "col_entries")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -41,7 +41,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.col_entries: list[dict[int, int]] = [{} for _ in range(cols)]
-        self.row_cols: list[set[int]] = [set() for _ in range(rows)]
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]):
@@ -59,16 +58,32 @@ class SparseMatrix:
                 A.set(i, j, A.get(i, j) + v)
         return A
 
+    @classmethod
+    def from_csc(cls, rows: int, indptr, indices, data):
+        """Matrix from column-compressed arrays.
+
+        Column j holds rows ``indices[indptr[j]:indptr[j + 1]]``, which must
+        be distinct, with the nonzero values ``data`` over the same range.
+        """
+        indices = np.asarray(indices)
+        if len(indices) and not (0 <= indices.min() and indices.max() < rows):
+            raise IndexError("row index out of range")
+        ptr = np.asarray(indptr).tolist()
+        idx = indices.tolist()
+        vals = np.asarray(data).tolist()
+        A = cls(rows, 0)
+        A.col_entries = [dict(zip(idx[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
+        A.cols = len(A.col_entries)
+        return A
+
     def set(self, i: int, j: int, v: int) -> None:
         if not 0 <= i < self.rows or not 0 <= j < self.cols:
             raise IndexError(f"entry ({i}, {j}) out of range")
         col = self.col_entries[j]
         if v:
             col[i] = v
-            self.row_cols[i].add(j)
         elif i in col:
             del col[i]
-            self.row_cols[i].discard(j)
 
     def get(self, i: int, j: int) -> int:
         return self.col_entries[j].get(i, 0)
@@ -87,7 +102,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         A = SparseMatrix(self.rows, self.cols)
         A.col_entries = [dict(c) for c in self.col_entries]
-        A.row_cols = [set(s) for s in self.row_cols]
         return A
 
     def __repr__(self) -> str:

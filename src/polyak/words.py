@@ -179,24 +179,19 @@ def canonicalize(seq) -> GaussWord:
     return GaussWord._wrap(_canonical_bytes(raw))
 
 
-def _iter_canonical_bytes(rank: int, first_partner: int | None = None) -> Iterator[bytes]:
+def _iter_canonical_bytes(rank: int) -> Iterator[bytes]:
     """Yield all canonical rank-`rank` words as bytes, in lexicographic order.
 
     Positions fill left to right; the candidates at a position are the open
     letters (closing one) plus at most one fresh letter, tried in increasing
-    order, which makes the output stream lexicographic.  With first_partner=p
-    only the subtree where letter 0 closes at position p is emitted -- an
-    equal-size slice of the tree, used to fan work out across processes.
+    order, which makes the output stream lexicographic.
     """
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     if rank == 0:
-        if first_partner is None:
-            yield b""
+        yield b""
         return
     length = 2 * rank
-    if first_partner is not None and not 1 <= first_partner < length:
-        raise ValueError("first_partner out of range")
     word = bytearray(length)
     open_letters: list[int] = []  # sorted
     cands: list[list[int] | None] = [None] * length
@@ -210,15 +205,9 @@ def _iter_canonical_bytes(rank: int, first_partner: int | None = None) -> Iterat
             pos -= 1
         cl = cands[pos]
         if cl is None:
-            if first_partner is not None and pos == first_partner:
-                cl = [0]
-            else:
-                if first_partner is not None and pos < first_partner:
-                    cl = [x for x in open_letters if x != 0]
-                else:
-                    cl = open_letters.copy()
-                if used < rank:
-                    cl.append(used)
+            cl = open_letters.copy()
+            if used < rank:
+                cl.append(used)
             cands[pos] = cl
             nexti[pos] = 0
         i = nexti[pos]
