@@ -10,8 +10,7 @@ from polyak import (
     delete_letters,
     enumerate_canonical,
     has_adjacent_double,
-    match_h2,
-    match_h3,
+    neighbors,
 )
 
 W = GaussWord.from_text
@@ -44,12 +43,18 @@ print("angle_bracket(-, ABCABC)    =", angle_bracket(W("-"), W("ABCABC")))
 
 # The relation generators come from two adjacency patterns: xAByBAz (an
 # interleaved pair with both blocks contiguous) and xAByACzBCt (three
-# contiguous blocks sharing three letters).
+# contiguous blocks sharing three letters).  They are the sites of two
+# homotopy moves: the interleaved-pair deletion H2 and the side-0 block
+# exchange H3.  With rank_cap = rank, `neighbors` lists no insertions.
 print("\npattern sites:")
 for text in ("ABBA", "ABCACB", "ABACBC", "ABCACDBD"):
     w = W(text)
-    pairs = [(chr(65 + a), chr(65 + b)) for a, b in match_h2(w)]
+    pairs = [
+        tuple(chr(65 + x) for x in m.data) for _, m in neighbors(w, w.rank, {"H2"})
+    ]
     triples = [
-        (chr(65 + a), chr(65 + b), chr(65 + c)) for a, b, c in match_h3(w)
+        tuple(chr(65 + x) for x in m.data[1:])
+        for _, m in neighbors(w, w.rank, {"H3"})
+        if m.data[0] == 0
     ]
     print(f"  {text}: two-letter {pairs or '-'}  three-letter {triples or '-'}")

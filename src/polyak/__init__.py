@@ -54,15 +54,11 @@ from .smith import (
 from .words import (
     EMPTY_WORD,
     GaussWord,
-    PatternMatch2,
-    PatternMatch3,
     angle_bracket,
     canonicalize,
     delete_letters,
     enumerate_canonical,
     has_adjacent_double,
-    match_h2,
-    match_h3,
 )
 
 __version__ = "0.1.0"

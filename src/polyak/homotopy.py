@@ -7,17 +7,40 @@ first-class here as well: the parallel-pair deletion xAByABz <-> xyz and
 the three remaining block-exchange orientations; they shrink search depth
 without enlarging the reachable set.
 
-Moves are recorded against the letters/positions of the word they apply
-to; applying a move yields a canonical image plus enough information to
-invert it, so every search trace replays exactly.
+One site enumerator, `_sites`, walks every move site of a canonical word in
+a fixed order: adjacent-pair deletions, then interleaved and parallel pair
+deletions, then the exchanges (orientation by orientation), then the
+insertions.  It writes each image straight in canonical form, because every
+move relabels in a known way:
+
+- deleting the pair of letter a lowers every label above a by one;
+  deleting a and a + 1 lowers every label above a + 1 by two;
+- inserting new letters at position p, where k letters first occur before
+  p, gives them labels k (and k + 1) and raises every later label >= k;
+- an exchange swaps two first occurrences only in its first block, the
+  letters L and L + 1, so the image is the block-swapped word with those
+  two labels traded.
+
+So an image is a few slices and one `bytes.translate`.  `neighbors`,
+`reduce_with_trace` and `search` are views of the enumerator.  `_apply`
+recomputes one move the checked way (it validates the site, canonicalizes
+the result and builds the inverse); it serves `apply_move`/`invert_move`.
+
+The search is bidirectional breadth-first over raw bytes and stores only
+each word's parent.  Once the two sides meet, the move along each edge of
+the path is found again by re-enumerating the parent's sites and taking the
+first whose image is the child: that is the move the search reached the
+child by, so the trace is exactly the one a search storing every move would
+record, and it replays step by step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .words import GaussWord, _canonical_bytes, _occurrence_tables
+from .words import GaussWord, _canonical_bytes
 
 EXCHANGE_TAGS = ("H3", "H5", "H6", "H7")
 
@@ -34,6 +57,9 @@ _ORIENT = {
     ("H7", 0): (0, 0, 1),
     ("H7", 1): (1, 1, 0),
 }
+# Exchanges are emitted in this (tag, side) order; slot = index in it.
+_SLOT_MOVE = tuple(_ORIENT)
+_ORIENT_SLOT = {orient: slot for slot, orient in enumerate(_ORIENT.values())}
 
 
 class MoveApplication(NamedTuple):
@@ -45,39 +71,150 @@ class MoveApplication(NamedTuple):
         return f"{self.tag} {self.direction} {','.join(map(str, self.data))}"
 
 
-def _match_exchange(raw: bytes, first, second, orient) -> list[tuple[int, int, int]]:
-    """Sites (a, b, c) of the three-block pattern with the given orientation."""
-    o1, o2, o3 = orient
-    out = []
-    n = len(raw)
-    for i in range(n - 1):
-        x, y = raw[i], raw[i + 1]
-        if x == y:
-            continue
-        a, b = (x, y) if o1 == 0 else (y, x)
-        if first[a] != i + o1 or first[b] != i + 1 - o1:
-            continue
-        a2 = second[a]
-        s2 = a2 - o2
-        if not i + 1 < s2:
-            continue
-        if s2 + 1 >= n:
-            continue
-        c = raw[s2 + 1] if o2 == 0 else raw[s2]
-        if c == a or c == b or first[c] != s2 + 1 - o2:
-            continue
-        b2 = second[b]
-        c2 = second[c]
-        if o3 == 0:
-            if c2 != b2 + 1:
-                continue
-            s3 = b2
+class _Tables(dict):
+    """Translate tables made on first use: tables[k] == make(k)."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, k):
+        table = self[k] = self.make(k)
+        return table
+
+
+_ID = bytes(range(256))
+# Labels >= k raised by one or two, making room for new letters at k.
+_RAISE1 = _Tables(lambda k: _ID[:k] + _ID[k + 1 :] + _ID[:1])
+_RAISE2 = _Tables(lambda k: _ID[:k] + _ID[k + 2 :] + _ID[:2])
+# Labels above a lowered by one (a deleted) or above a + 1 by two (both deleted).
+_LOWER1 = _Tables(lambda a: _ID[: a + 1] + _ID[a:255])
+_LOWER2 = _Tables(lambda a: _ID[: a + 2] + _ID[a:254])
+# Labels L and L + 1 traded.
+_SWAP = _Tables(lambda L: _ID[:L] + _ID[L + 1 : L + 2] + _ID[L : L + 1] + _ID[L + 2 :])
+
+
+def _occurrence_tables(raw: bytes) -> tuple[list[int], list[int]]:
+    """first[x], second[x] = the two positions of letter x (canonical input)."""
+    r = len(raw) // 2
+    first = [-1] * r
+    second = [-1] * r
+    for pos, b in enumerate(raw):
+        if first[b] < 0:
+            first[b] = pos
         else:
-            if b2 != c2 + 1:
-                continue
-            s3 = c2
-        if s2 + 1 < s3:
-            out.append((a, b, c))
+            second[b] = pos
+    return first, second
+
+
+def _sites(raw: bytes, rank_cap: int, tags, moves: list | None = None) -> list[bytes]:
+    """Canonical images of raw under every move site, in site order.
+
+    Reductions and exchanges are always generated; expansions only while
+    the image rank stays within rank_cap.  When `moves` is a list, the
+    application producing each image is appended to it, so that
+    moves[i] takes raw to the i-th image.
+    """
+    n = len(raw)
+    r = n // 2
+    first, second = _occurrence_tables(raw)
+    out: list[bytes] = []
+    append = out.append
+    if "H1" in tags:
+        for a in range(r):
+            if second[a] == first[a] + 1:
+                append(raw.translate(_LOWER1[a], _ID[a : a + 1]))
+                if moves is not None:
+                    moves.append(MoveApplication("H1", "reduce", (a,)))
+
+    # One pass over the letters L, L + 1 whose first occurrences are
+    # adjacent, at i and i + 1: these open every pair deletion and every
+    # exchange (whose first block is that pair, in either order).
+    scan_exchanges = not tags.isdisjoint(EXCHANGE_TAGS)
+    exchanges = []
+    for L in range(r - 1):
+        i = first[L]
+        if first[L + 1] != i + 1:
+            continue
+        # Second occurrences adjacent too: interleaved (H2) or parallel (H4).
+        gap = second[L + 1] - second[L]
+        tag = "H2" if gap == -1 else "H4" if gap == 1 else None
+        if tag in tags:
+            append(raw.translate(_LOWER2[L], _ID[L : L + 2]))
+            if moves is not None:
+                moves.append(MoveApplication(tag, "reduce", (L, L + 1)))
+        if not scan_exchanges:
+            continue
+        for o1, a, b in ((0, L, L + 1), (1, L + 1, L)):
+            a2 = second[a]
+            b2 = second[b]
+            for o2 in (0, 1):
+                # Block 2 is a's second occurrence and c's first (o2 = 0),
+                # or the reverse; block 3 is the second occurrences of b, c,
+                # which both lie after block 2.
+                s2 = a2 - o2
+                cpos = s2 + 1 - o2
+                if s2 <= i + 1 or cpos >= n:
+                    continue
+                c = raw[cpos]
+                if first[c] != cpos:
+                    continue
+                c2 = second[c]
+                if c2 == b2 + 1:
+                    o3, s3 = 0, b2
+                elif b2 == c2 + 1:
+                    o3, s3 = 1, c2
+                else:
+                    continue
+                slot = _ORIENT_SLOT[o1, o2, o3]
+                if _SLOT_MOVE[slot][0] in tags:
+                    exchanges.append((slot, L, (i, s2, s3), (a, b, c)))
+    if exchanges:
+        exchanges.sort(key=itemgetter(0))  # stable: by slot, then by L
+        for slot, L, blocks, site in exchanges:
+            seq = bytearray(raw)
+            for p in blocks:
+                seq[p], seq[p + 1] = seq[p + 1], seq[p]
+            append(bytes(seq).translate(_SWAP[L]))
+            if moves is not None:
+                tag, side = _SLOT_MOVE[slot]
+                moves.append(MoveApplication(tag, "exchange", (side, *site)))
+
+    # Insertions at p: k letters first occur before p, so the new letters
+    # are k (and k + 1) and raw[p:] shifts up past them.
+    if r + 1 <= rank_cap and "H1" in tags:
+        k = 0
+        for p in range(n + 1):
+            append(raw[:p] + _ID[k : k + 1] * 2 + raw[p:].translate(_RAISE1[k]))
+            if p < n and raw[p] == k:
+                k += 1
+        if moves is not None:
+            moves.extend(MoveApplication("H1", "expand", (p,)) for p in range(n + 1))
+    h2 = "H2" in tags
+    h4 = "H4" in tags
+    if r + 2 <= rank_cap and (h2 or h4):
+        k = 0
+        for p in range(n + 1):
+            xy = _ID[k : k + 2]
+            yx = xy[::-1]
+            head = raw[:p] + xy
+            tail = raw[p:].translate(_RAISE2[k])
+            for d in range(n - p + 1):
+                pre = head + tail[:d]
+                post = tail[d:]
+                if h2:
+                    append(pre + yx + post)
+                if h4:
+                    append(pre + xy + post)
+            if moves is not None:
+                expand_tags = [t for t in ("H2", "H4") if t in tags]
+                moves.extend(
+                    MoveApplication(tag, "expand", (p, q))
+                    for q in range(p, n + 1)
+                    for tag in expand_tags
+                )
+            if p < n and raw[p] == k:
+                k += 1
     return out
 
 
@@ -204,6 +341,8 @@ def invert_move(w: GaussWord, move: MoveApplication) -> MoveApplication:
 
 
 ALL_TAGS = frozenset({"H1", "H2", "H3", "H4", "H5", "H6", "H7"})
+# The shrinking moves: adjacent, interleaved and parallel pair deletion.
+_SHRINK = frozenset({"H1", "H2", "H4"})
 
 
 def neighbors(
@@ -216,49 +355,11 @@ def neighbors(
     so the same image word may appear under several moves.  `tags` narrows
     the move set (e.g. to the three basic moves only).
     """
-    raw = w.raw
-    n = len(raw)
-    r = n // 2
-    if r > rank_cap:
-        raise ValueError(f"rank {r} exceeds rank_cap {rank_cap}")
-    first, second = _occurrence_tables(raw)
-    out: list[tuple[GaussWord, MoveApplication]] = []
-
-    def emit(move):
-        out.append((_apply(w, move)[0], move))
-
-    if "H1" in tags:
-        for a in range(r):
-            if second[a] == first[a] + 1:
-                emit(MoveApplication("H1", "reduce", (a,)))
-    for a in range(r):
-        p = first[a] + 1
-        if p >= n:
-            continue
-        b = raw[p]
-        if first[b] != p:
-            continue
-        if "H2" in tags and second[a] == second[b] + 1:
-            emit(MoveApplication("H2", "reduce", (a, b)))
-        if "H4" in tags and second[b] == second[a] + 1:
-            emit(MoveApplication("H4", "reduce", (a, b)))
-    for tag in EXCHANGE_TAGS:
-        if tag not in tags:
-            continue
-        for side in (0, 1):
-            for site in _match_exchange(raw, first, second, _ORIENT[tag, side]):
-                emit(MoveApplication(tag, "exchange", (side, *site)))
-    if r + 1 <= rank_cap and "H1" in tags:
-        for p in range(n + 1):
-            emit(MoveApplication("H1", "expand", (p,)))
-    if r + 2 <= rank_cap:
-        for p in range(n + 1):
-            for q in range(p, n + 1):
-                if "H2" in tags:
-                    emit(MoveApplication("H2", "expand", (p, q)))
-                if "H4" in tags:
-                    emit(MoveApplication("H4", "expand", (p, q)))
-    return out
+    if w.rank > rank_cap:
+        raise ValueError(f"rank {w.rank} exceeds rank_cap {rank_cap}")
+    moves: list[MoveApplication] = []
+    images = _sites(w.raw, rank_cap, frozenset(tags), moves)
+    return [(GaussWord._wrap(v), mv) for v, mv in zip(images, moves)]
 
 
 def reduce_with_trace(
@@ -266,31 +367,18 @@ def reduce_with_trace(
 ) -> tuple[GaussWord, tuple[MoveApplication, ...]]:
     """Greedy closure of the shrinking moves (adjacent, interleaved, and
     parallel pair deletion), with the applied moves; the result admits no
-    further reduction."""
-    moves: list[MoveApplication] = []
+    further reduction.  Each step deletes at the smallest first letter that
+    admits a deletion (at most one shrinking move applies per letter)."""
+    raw = w.raw
+    trace: list[MoveApplication] = []
     while True:
-        raw = w.raw
-        n = len(raw)
-        first, second = _occurrence_tables(raw)
-        move = None
-        for a in range(n // 2):
-            if second[a] == first[a] + 1:
-                move = MoveApplication("H1", "reduce", (a,))
-                break
-            p = first[a] + 1
-            if p < n:
-                b = raw[p]
-                if first[b] == p:
-                    if second[a] == second[b] + 1:
-                        move = MoveApplication("H2", "reduce", (a, b))
-                        break
-                    if second[b] == second[a] + 1:
-                        move = MoveApplication("H4", "reduce", (a, b))
-                        break
-        if move is None:
-            return w, tuple(moves)
-        moves.append(move)
-        w = _apply(w, move)[0]
+        moves: list[MoveApplication] = []
+        images = _sites(raw, len(raw) // 2, _SHRINK, moves)
+        if not images:
+            return GaussWord._wrap(raw), tuple(trace)
+        i = min(range(len(moves)), key=lambda j: moves[j].data[0])
+        trace.append(moves[i])
+        raw = images[i]
 
 
 def reduce_word(w: GaussWord) -> GaussWord:
@@ -306,10 +394,20 @@ class SearchOutcome:
     trace: list[MoveApplication] | None
     nodes_explored: int
     frontier_rank_cap: int
+    # Why an 'unknown' search stopped: 'budget' (node_budget reached) or
+    # 'exhausted' (a side ran out of words within the rank cap).
+    reason: str | None = None
 
     @property
     def connected(self) -> bool:
         return self.status == "connected"
+
+
+def _edge_move(parent: bytes, child: bytes, rank_cap: int, tags) -> MoveApplication:
+    """The first move of parent's site order whose image is child."""
+    moves: list[MoveApplication] = []
+    images = _sites(parent, rank_cap, tags, moves)
+    return moves[images.index(child)]
 
 
 def search(
@@ -331,26 +429,26 @@ def search(
         raise ValueError("rank_cap below the rank of an endpoint")
     if w1 == w2:
         return SearchOutcome("connected", [], 1, rank_cap)
-    # parent maps: word -> (parent, move applied at parent to reach word)
-    fwd: dict[GaussWord, tuple | None] = {w1: None}
-    bwd: dict[GaussWord, tuple | None] = {w2: None}
-    frontier_f = [w1]
-    frontier_b = [w2]
+    tags = frozenset(tags)
+    # word -> the word it was first reached from (None at an endpoint)
+    fwd: dict[bytes, bytes | None] = {w1.raw: None}
+    bwd: dict[bytes, bytes | None] = {w2.raw: None}
+    frontier_f = [w1.raw]
+    frontier_b = [w2.raw]
     nodes = 2
 
-    def build_trace(meet: GaussWord) -> list[MoveApplication]:
+    def build_trace(meet: bytes) -> list[MoveApplication]:
         moves: list[MoveApplication] = []
         node = meet
-        while fwd[node] is not None:
-            parent, mv = fwd[node]
-            moves.append(mv)
+        while (parent := fwd[node]) is not None:
+            moves.append(_edge_move(parent, node, rank_cap, tags))
             node = parent
         moves.reverse()
         node = meet
-        while bwd[node] is not None:
-            parent, mv = bwd[node]
-            # mv maps parent -> node; append its inverse to walk node -> parent
-            moves.append(invert_move(parent, mv))
+        while (parent := bwd[node]) is not None:
+            # The edge move maps parent -> node; its inverse walks node -> parent.
+            mv = _edge_move(parent, node, rank_cap, tags)
+            moves.append(invert_move(GaussWord._wrap(parent), mv))
             node = parent
         return moves
 
@@ -361,23 +459,23 @@ def search(
         else:
             frontier, visited, other = frontier_b, bwd, fwd
             forward = False
-        next_frontier: list[GaussWord] = []
+        next_frontier: list[bytes] = []
         for u in frontier:
-            for v, mv in neighbors(u, rank_cap, tags):
+            for v in _sites(u, rank_cap, tags):
                 if v in visited:
                     continue
-                visited[v] = (u, mv)
+                visited[v] = u
                 nodes += 1
                 if v in other:
                     return SearchOutcome("connected", build_trace(v), nodes, rank_cap)
                 next_frontier.append(v)
                 if nodes > node_budget:
-                    return SearchOutcome("unknown", None, nodes, rank_cap)
+                    return SearchOutcome("unknown", None, nodes, rank_cap, "budget")
         if forward:
             frontier_f = next_frontier
         else:
             frontier_b = next_frontier
-    return SearchOutcome("unknown", None, nodes, rank_cap)
+    return SearchOutcome("unknown", None, nodes, rank_cap, "exhausted")
 
 
 def render_trace(source: GaussWord, moves: list[MoveApplication]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Canonical Gauss words: representation, enumeration, and pattern scans.
+"""Canonical Gauss words: representation, enumeration, and subwords.
 
 A Gauss word is a finite sequence in which every letter occurs exactly
 twice.  Words are kept in canonical form (letters renumbered 0, 1, 2, ...
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 EMPTY_TEXT = "-"
 _A = ord("A")
@@ -90,21 +90,6 @@ class GaussWord:
 
     def __repr__(self) -> str:
         return f"GaussWord({str(self)!r})"
-
-
-class PatternMatch2(NamedTuple):
-    """An occurrence of the two-letter pattern xAByBAz (outer=A, inner=B)."""
-
-    outer: int
-    inner: int
-
-
-class PatternMatch3(NamedTuple):
-    """An occurrence of the three-letter pattern xAByACzBCt."""
-
-    a: int
-    b: int
-    c: int
 
 
 def format_text(letters: Sequence[int]) -> str:
@@ -289,68 +274,6 @@ def angle_bracket(u: GaussWord, w: GaussWord) -> int:
         if _canonical_bytes(induced) == target:
             count += 1
     return count
-
-
-def _occurrence_tables(raw: bytes) -> tuple[list[int], list[int]]:
-    """first[x], second[x] = the two positions of letter x (canonical input)."""
-    r = len(raw) // 2
-    first = [-1] * r
-    second = [-1] * r
-    for pos, b in enumerate(raw):
-        if first[b] < 0:
-            first[b] = pos
-        else:
-            second[b] = pos
-    return first, second
-
-
-def _match_h2_bytes(raw: bytes, first: list[int], second: list[int]):
-    """Ordered pairs (A, B) with raw = xAByBAz, both pairs contiguous."""
-    out = []
-    n = len(raw)
-    for a in range(len(first)):
-        p = first[a] + 1
-        if p >= n:
-            continue
-        b = raw[p]
-        if first[b] == p and second[a] == second[b] + 1:
-            out.append((a, b))
-    return out
-
-
-def _match_h3_bytes(raw: bytes, first: list[int], second: list[int]):
-    """Ordered triples (A, B, C) with raw = xAByACzBCt, all pairs contiguous."""
-    out = []
-    n = len(raw)
-    for a in range(len(first)):
-        p = first[a] + 1
-        if p >= n:
-            continue
-        b = raw[p]
-        if first[b] != p:
-            continue
-        q = second[a] + 1
-        if q >= n:
-            continue
-        c = raw[q]
-        if first[c] != q:
-            continue
-        b2 = second[b]
-        if b2 > q and second[c] == b2 + 1:
-            out.append((a, b, c))
-    return out
-
-
-def match_h2(w: GaussWord) -> list[PatternMatch2]:
-    """All pattern occurrences xAByBAz in w, as (outer, inner) letter pairs."""
-    first, second = _occurrence_tables(w.raw)
-    return [PatternMatch2(*m) for m in _match_h2_bytes(w.raw, first, second)]
-
-
-def match_h3(w: GaussWord) -> list[PatternMatch3]:
-    """All pattern occurrences xAByACzBCt in w, as (a, b, c) letter triples."""
-    first, second = _occurrence_tables(w.raw)
-    return [PatternMatch3(*m) for m in _match_h3_bytes(w.raw, first, second)]
 
 
 EMPTY_WORD = GaussWord._wrap(b"")

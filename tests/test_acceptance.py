@@ -5,6 +5,9 @@ The degree-7 group structure is a long-running extended target, not a gate;
 set POLYAK_EXTENDED=1 to include it.
 """
 
+import hashlib
+import importlib
+import io
 import os
 import random
 import time
@@ -17,8 +20,8 @@ from fixtures import (
     RANK5_CLASS_ROWS,
     UNRESOLVED_SETS,
 )
-from polyak.classify import classify
-from polyak.homotopy import apply_move, neighbors
+from polyak.classify import classify, report
+from polyak.homotopy import apply_move, neighbors, search
 from polyak.invariant import (
     element_order,
     evaluate,
@@ -255,6 +258,51 @@ class TestCriterion7Classification:
             "7b",
             "rank-5 classification reproduces the published rows with one "
             "unresolved pair",
+        )
+
+    @pytest.mark.slow
+    def test_rank6_classification_pinned(self, table6, monkeypatch):
+        # Pinned output of classify(6, table6): the report, every word's
+        # move trace, and the search effort.  The node total fixes the
+        # breadth-first order of every search, so a change to the move
+        # order fails here.
+        nodes = []
+
+        def counted(*args, **kwargs):
+            out = search(*args, **kwargs)
+            nodes.append(out.nodes_explored)
+            return out
+
+        monkeypatch.setattr(importlib.import_module("polyak.classify"), "search", counted)
+        t0 = time.monotonic()
+        c = classify(6, table6)
+        elapsed = time.monotonic() - t0
+        buf = io.StringIO()
+        report(c, buf)
+        assert (len(c.classes), len(c.unresolved)) == (512, 9)
+        assert (
+            hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            == "b8eac0c5c96c4e7b5fb37acee74fd2f6d54f79dc5068e23933de9827baa22935"
+        )
+        assert (len(nodes), sum(nodes)) == (823, 901326)
+        traces = []
+        for cls in c.classes:
+            for w in cls.words:
+                moves = c.trace(w)
+                x = w
+                for mv in moves:
+                    x = apply_move(x, mv)
+                assert x == cls.root
+                traces.append((w, ";".join(map(str, moves))))
+        text = "".join(f"{w} {moves}\n" for w, moves in sorted(traces))
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "efcdf33a177e2c690d3842609f4fdb70270e6806adfed74585fa23038dfe01de"
+        )
+        announce(
+            "7d",
+            f"rank <= 6: 512 classes, 9 unresolved pairs, pinned report, "
+            f"every trace replays; classify took {elapsed:.1f}s",
         )
 
     def test_rank3_single_class(self, table5):

@@ -1,9 +1,18 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyak.homotopy import (
+    _ORIENT,
+    ALL_TAGS,
+    EXCHANGE_TAGS,
     MoveApplication,
+    _apply,
+    _exchange_site,
+    _occurrence_tables,
     apply_move,
     invert_move,
     neighbors,
@@ -11,7 +20,7 @@ from polyak.homotopy import (
     render_trace,
     search,
 )
-from polyak.words import EMPTY_WORD, GaussWord, enumerate_canonical
+from polyak.words import EMPTY_WORD, GaussWord, canonicalize, enumerate_canonical
 
 W = GaussWord.from_text
 BASIC = frozenset({"H1", "H2", "H3"})
@@ -61,6 +70,29 @@ class TestMoveApplication:
         with pytest.raises(ValueError):
             apply_move(W("ABAB"), MoveApplication("H1", "reduce", (0,)))
 
+    def test_exchange_sites_match_brute_force(self):
+        # Every exchange site, in emission order: orientation by orientation,
+        # then by the position of the first block.
+        rng = random.Random(41)
+        pool = [w for r in range(5) for w in enumerate_canonical(r)]
+        pool += rng.sample(enumerate_canonical(6), 100)
+        found = 0
+        for w in pool:
+            first, second = _occurrence_tables(w.raw)
+            expected = []
+            for tag in EXCHANGE_TAGS:
+                for side in (0, 1):
+                    hits = []
+                    for a, b, c in permutations(range(w.rank), 3):
+                        site = _exchange_site(w.raw, first, second, _ORIENT[tag, side], a, b, c)
+                        if site is not None:
+                            hits.append((site[0], MoveApplication(tag, "exchange", (side, a, b, c))))
+                    expected += [mv for _, mv in sorted(hits)]
+            got = [mv for _, mv in neighbors(w, w.rank) if mv.direction == "exchange"]
+            assert got == expected, str(w)
+            found += len(got)
+        assert found > 100
+
     def test_exchange_sides_are_mutual(self):
         w = W("ABACBC")
         (site,) = [m for _, m in neighbors(w, 3) if m.tag == "H3"]
@@ -78,7 +110,8 @@ class TestSearch:
 
     def test_published_merge(self):
         out = search(W("ABACDCBD"), W("ABCBDACD"))
-        assert out.connected
+        assert out.connected and out.reason is None
+        assert out.nodes_explored == 3  # pins the breadth-first order
         w = W("ABACDCBD")
         for mv in out.trace:
             w = apply_move(w, mv)
@@ -87,10 +120,13 @@ class TestSearch:
     def test_distinguished_pair_stays_unknown(self):
         out = search(W("ABACDCBD"), EMPTY_WORD, rank_cap=6, node_budget=10**6)
         assert out.status == "unknown"
+        assert out.reason == "exhausted"
+        assert out.nodes_explored == 3252  # pins the breadth-first order
 
     def test_budget_exhaustion_is_unknown(self):
         out = search(W("ABACDCBD"), EMPTY_WORD, rank_cap=8, node_budget=500)
         assert out.status == "unknown"
+        assert out.reason == "budget"
         assert out.nodes_explored > 500
 
     def test_identical_endpoints(self):
@@ -169,3 +205,30 @@ class TestReduce:
             core = reduce_word(w)
             assert reduce_word(core) == core
             assert core.rank <= w.rank
+
+
+@st.composite
+def canonical_words(draw, max_rank=9):
+    rank = draw(st.integers(0, max_rank))
+    return canonicalize(draw(st.permutations([x for x in range(rank) for _ in (0, 1)])))
+
+
+# A word, the rank headroom above it, and a tag set; seeded, so reruns agree.
+site_cases = given(canonical_words(), st.integers(0, 2), st.sampled_from([ALL_TAGS, BASIC]))
+site_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestSiteEnumeratorProperties:
+    """The enumerator's images against the checked path of `_apply`."""
+
+    @site_settings
+    @site_cases
+    def test_images_match_checked_path(self, w, headroom, tags):
+        pairs = neighbors(w, w.rank + headroom, tags)
+        assert pairs == [(_apply(w, mv)[0], mv) for _, mv in pairs]
+
+    @site_settings
+    @site_cases
+    def test_inverse_undoes_every_move(self, w, headroom, tags):
+        for _, mv in neighbors(w, w.rank + headroom, tags):
+            assert apply_move(apply_move(w, mv), invert_move(w, mv)) == w

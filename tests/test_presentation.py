@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference_scan import reference_presentation, reference_scan
 
+from polyak.homotopy import neighbors
 from polyak.presentation import (
     RelationList,
     RelationVector,
@@ -25,8 +26,6 @@ from polyak.words import (
     delete_letters,
     enumerate_canonical,
     has_adjacent_double,
-    match_h2,
-    match_h3,
 )
 
 W = GaussWord.from_text
@@ -313,10 +312,15 @@ def test_canonical_image_identities():
                 assert delete_letters(w, [x]).raw == dropped
                 deletions += 1
             # 2. The inner letter of every match is the outer letter plus one.
-            for m in match_h2(w):
-                assert m.inner == m.outer + 1
+            # xAByBAz is an H2 deletion site, xAByACzBCt a side-0 H3 exchange.
+            for _, m in neighbors(w, rank, {"H2"}):
+                outer, inner = m.data
+                assert inner == outer + 1
                 matches2 += 1
-            for a, b, c in match_h3(w):
+            for _, m in neighbors(w, rank, {"H3"}):
+                if m.data[0] != 0:
+                    continue
+                _, a, b, c = m.data
                 assert b == a + 1
                 matches3 += 1
                 # 3. The block-reversed word is canonical once A and A+1 trade.
@@ -327,7 +331,7 @@ def test_canonical_image_identities():
                 swapped = bytes(a + 1 if x == a else a if x == a + 1 else x for x in wp)
                 assert _canonical_bytes(wp) == swapped
     assert deletions == 300 * sum(range(3, 13))
-    assert matches2 > 500 and matches3 > 100
+    assert (matches2, matches3) == (1384, 394)
 
 
 def test_batched_delete_matches_delete_letters():

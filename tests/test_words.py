@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from polyak.homotopy import neighbors
 from polyak.words import (
     EMPTY_WORD,
     GaussWord,
@@ -12,11 +13,19 @@ from polyak.words import (
     delete_letters,
     enumerate_canonical,
     has_adjacent_double,
-    match_h2,
-    match_h3,
 )
 
 W = GaussWord.from_text
+
+
+def match_h2(w):
+    """Pairs (A, B) with w = xAByBAz: the interleaved-pair deletion sites."""
+    return [m.data for _, m in neighbors(w, w.rank, {"H2"})]
+
+
+def match_h3(w):
+    """Triples (A, B, C) with w = xAByACzBCt: the side-0 H3 exchange sites."""
+    return [m.data[1:] for _, m in neighbors(w, w.rank, {"H3"}) if m.data[0] == 0]
 
 
 def double_factorial(n):
